@@ -18,7 +18,7 @@ entry.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
@@ -75,8 +75,7 @@ def build_column_design(spec: ArraySpec, scheme: str) -> SenseAmpDesign:
 
 
 def characterize_column(spec: ArraySpec, scheme: str, time_s: float,
-                        column: int,
-                        backend: Optional[str] = None) -> Dict[str, Any]:
+                        column: int) -> Dict[str, Any]:
     """Offset/delay characterisation of one column at one checkpoint.
 
     Returns a JSON-primitive row (full-precision floats — downstream
@@ -92,7 +91,7 @@ def characterize_column(spec: ArraySpec, scheme: str, time_s: float,
     for name, values in aging.items():
         shifts[name] = shifts.get(name, 0.0) + values
     testbench = SenseAmpTestbench(design, env, batch_size=spec.mc,
-                                  timing=ReadTiming(), backend=backend)
+                                  timing=ReadTiming())
     testbench.set_vth_shifts(shifts)
     offsets = extract_offsets(testbench,
                               iterations=spec.offset_iterations)
@@ -115,7 +114,7 @@ def characterize_column(spec: ArraySpec, scheme: str, time_s: float,
 
 
 def characterize_columns(spec: ArraySpec, scheme: str, time_s: float,
-                         columns, backend: Optional[str] = None):
+                         columns):
     """Characterise a group of columns (one parallel task's worth)."""
-    return [characterize_column(spec, scheme, time_s, column, backend)
+    return [characterize_column(spec, scheme, time_s, column)
             for column in columns]

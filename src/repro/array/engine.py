@@ -51,22 +51,18 @@ class ArrayEngine:
         cache identity.
     yield_model:
         Chip organisation for the yield-loss column of the report.
-    backend:
-        Solver backend name threaded into every testbench.
     """
 
     def __init__(self, spec: ArraySpec,
                  workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
-                 yield_model: Optional[YieldModel] = None,
-                 backend: Optional[str] = None) -> None:
+                 yield_model: Optional[YieldModel] = None) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk size must be positive")
         self.spec = spec
         self.workers = workers
         self.chunk_size = chunk_size or 1
         self.yield_model = yield_model or YieldModel()
-        self.backend = backend
 
     # -- scheduling -------------------------------------------------------
     def _column_chunks(self) -> List[Tuple[int, ...]]:
@@ -114,7 +110,7 @@ class ArrayEngine:
         """Per-column rows and bank summaries for one scheme."""
         (scheme,) = validate_schemes((scheme,))
         chunks = self._column_chunks()
-        args = [(self.spec, scheme, time_s, chunk, self.backend)
+        args = [(self.spec, scheme, time_s, chunk)
                 for time_s in self.spec.times_s for chunk in chunks]
         with PERF.timer("array.characterize"):
             chunk_rows = run_tasks(characterize_columns, args,

@@ -76,13 +76,6 @@ def _add_mc_args(parser: argparse.ArgumentParser) -> None:
                         help="split the MC batch into chunks of at most "
                              "this many samples (memory control; results "
                              "unchanged)")
-    from .spice.backends import available_backends
-    parser.add_argument("--backend", choices=available_backends(),
-                        default=None,
-                        help="solver backend for the reduced transient "
-                             "hot loop (default: $REPRO_BACKEND or "
-                             "'compiled'; REPRO_NO_COMPILED=1 forces "
-                             "'numpy')")
 
 
 def _add_estimator_args(parser: argparse.ArgumentParser,
@@ -145,8 +138,7 @@ def _cell_result(args, scheme: str, workload_name: Optional[str],
                     timing=ReadTiming(dt=args.dt),
                     chunk_size=args.chunk_size,
                     cache=_cache(args),
-                    estimator=_estimator(args),
-                    backend=getattr(args, "backend", None))
+                    estimator=_estimator(args))
 
 
 def cmd_characterize(args) -> int:
@@ -172,7 +164,6 @@ def cmd_table(args) -> int:
                     workers=args.workers or None,
                     chunk_size=args.chunk_size, cache=_cache(args),
                     estimator=_estimator(args),
-                    backend=getattr(args, "backend", None),
                     progress=progress)
     rendered = [comparison_row(
         row.result.cell.scheme, row.result.cell.time_s,
@@ -346,9 +337,7 @@ def _perf_array(args) -> int:
                      mc=args.mc, seed=args.seed)
     PERF.reset()
     with PERF.timer("total"):
-        report = ArrayEngine(spec, workers=1,
-                             backend=getattr(args, "backend", None)
-                             ).compare()
+        report = ArrayEngine(spec, workers=1).compare()
     print(f"array: {rows}x{columns} bank  MC={args.mc}/column  "
           f"workload {spec.workload or 'fresh'}")
     print()
@@ -363,8 +352,7 @@ def _perf_array(args) -> int:
         path = PERF.write_json(args.json, extra={
             "config": {"array": args.array, "workload": args.workload,
                        "time_s": args.time, "temp_c": args.temp,
-                       "vdd": args.vdd, "mc": args.mc,
-                       "backend": getattr(args, "backend", None)},
+                       "vdd": args.vdd, "mc": args.mc},
             "result": report["comparison"],
         })
         print(f"\nperf JSON written to {path}")
@@ -402,10 +390,9 @@ def cmd_perf(args) -> int:
     print(f"  fused endpoint runs          "
           f"{PERF.counters.get('offset.endpoint_fused_runs', 0):8d}")
     if PERF.counters.get("spice.backend.fused_steps"):
-        from .spice.backends import resolve_backend
-        info = resolve_backend(getattr(args, "backend", None)).describe()
-        print(f"  backend                      "
-              f"{info['backend']:>8s} ({info.get('flavor', '-')})")
+        from .spice.backends import backend_host_info
+        print(f"  kernel flavor                "
+              f"{backend_host_info()['flavor']:>8s}")
         print(f"  fused iterations/step        "
               f"{PERF.ratio('spice.backend.fused_iterations', 'spice.backend.fused_steps'):8.2f}")
         print(f"  kernel compile time [ms]     "
@@ -429,8 +416,7 @@ def cmd_perf(args) -> int:
                        "time_s": args.time, "temp_c": args.temp,
                        "vdd": args.vdd, "mc": args.mc, "dt": args.dt,
                        "chunk_size": args.chunk_size,
-                       "estimator": args.estimator,
-                       "backend": getattr(args, "backend", None)},
+                       "estimator": args.estimator},
             "result": result.row(),
         })
         print(f"\nperf JSON written to {path}")
@@ -637,8 +623,7 @@ def _array_spec(args, rows: int, columns: int):
 def _array_reports_direct(specs, schemes, args) -> List[dict]:
     from .array import ArrayEngine
     return [ArrayEngine(spec, workers=args.workers or None,
-                        chunk_size=args.chunk_size,
-                        backend=getattr(args, "backend", None))
+                        chunk_size=args.chunk_size)
             .compare(schemes) for spec in specs]
 
 
@@ -1016,8 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-size", type=int, default=None,
                    help="columns per parallel task; results are "
                         "invariant to it")
-    from .spice.backends import available_backends as _backends
-    p.add_argument("--backend", choices=_backends(), default=None)
     p.add_argument("--service", action="store_true",
                    help="route every geometry point through an "
                         "in-process sharded job service (ArrayRequest "

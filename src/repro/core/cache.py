@@ -10,9 +10,11 @@ the measurement flags and bisection depth, the package version, a
 code-version salt (bump :data:`CACHE_SALT` whenever a numerical code
 change invalidates old entries), the warm-start toggle (so an
 ``REPRO_NO_WARMSTART=1`` verification run recomputes rather than
-trivially replaying the cached value), the resolved solver backend's
-``cache_token()`` (backend id + kernel version, so ``numpy`` and
-``compiled`` results never mix), and the resolved rare-event
+trivially replaying the cached value), the step kernel's
+``cache_token()`` (kernel version, the process's kernel flavor and,
+for the C kernel, its ``.so`` tag — the flavors agree bitwise on
+offsets but not on delays, so their results never mix), and the
+resolved rare-event
 estimator configuration (``None`` on the paper's fit path), so tail
 estimates and brute-force entries never share a key.  ``chunk_size`` is deliberately
 excluded — chunking controls peak memory, not the statistics (results
@@ -127,23 +129,19 @@ class ResultCache:
                 timing: Any, failure_rate: float, measure_offset: bool,
                 measure_delay: bool, offset_iterations: int,
                 warmstart: Optional[bool] = None,
-                estimator: Any = None,
-                backend: Any = None) -> str:
+                estimator: Any = None) -> str:
         """SHA-256 key of one cell characterisation.
 
         ``estimator`` is the *resolved* rare-event configuration
         (``None`` for the paper's fit path, including when the opt-out
         env downgraded a request) — a dedicated key field, so
         importance-sampling and brute-force entries can never collide.
-
-        ``backend`` (a solver-backend instance, name, or ``None`` for
-        environment resolution) contributes its ``cache_token()`` —
-        backend id plus kernel version — so entries computed by
-        different backends, or by different kernel revisions of the
-        same backend, never mix.
+        The step kernel's :func:`~repro.spice.backends.cache_token`
+        names the kernel this process computes with, so entries from
+        different kernel flavors or builds never mix.
         """
         from .. import __version__
-        from ..spice.backends import resolve_backend
+        from ..spice.backends import cache_token
         if warmstart is None:
             from .testbench import warmstart_default
             warmstart = warmstart_default()
@@ -166,7 +164,7 @@ class ResultCache:
             "offset_iterations": offset_iterations,
             "warmstart": bool(warmstart),
             "estimator": _canon(estimator),
-            "backend": resolve_backend(backend).cache_token(),
+            "kernel": cache_token(),
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -179,8 +177,7 @@ class ResultCache:
                      measure_delay: bool = True,
                      offset_iterations: int = 14,
                      warmstart: Optional[bool] = None,
-                     estimator: Any = None,
-                     backend: Any = None) -> str:
+                     estimator: Any = None) -> str:
         """Key of a cell with the same defaults :func:`run_cell` applies.
 
         The single key-derivation hook shared by the experiment runner
@@ -207,8 +204,7 @@ class ResultCache:
             measure_delay=measure_delay,
             offset_iterations=offset_iterations,
             warmstart=warmstart,
-            estimator=estimator,
-            backend=backend)
+            estimator=estimator)
 
     # -- entries ---------------------------------------------------------
 

@@ -27,8 +27,6 @@ from .montecarlo import (McSettings, sample_aging_keyed, sample_mismatch,
 from .offset import OffsetDistribution, extract_offsets, fit_offsets
 from .rare_event import (EstimatorConfig, TailEstimate, estimate_tail,
                          rare_event_enabled)
-from ..spice.backends import resolve_backend
-from ..spice.backends.base import SolverBackend
 from .testbench import SenseAmpTestbench
 
 #: Differential input magnitude used for sensing-delay reads [V]; a
@@ -174,7 +172,6 @@ def _run_tail_estimator(config: EstimatorConfig,
                         offset_iterations: int,
                         chunk_size: Optional[int],
                         pilot_offsets: np.ndarray,
-                        backend: Union["SolverBackend", str, None] = None,
                         ) -> TailEstimate:
     """Run the rare-event engine against the cell's real testbench.
 
@@ -197,8 +194,7 @@ def _run_tail_estimator(config: EstimatorConfig,
         for chunk in _chunk_shifts(total, size, chunk_size):
             batch = len(next(iter(chunk.values())))
             testbench = SenseAmpTestbench(design, cell.env,
-                                          batch_size=batch, timing=timing,
-                                          backend=backend)
+                                          batch_size=batch, timing=timing)
             testbench.set_vth_shifts(chunk)
             parts.append(extract_offsets(testbench,
                                          iterations=offset_iterations))
@@ -222,8 +218,7 @@ def run_cell(cell: ExperimentCell,
              offset_iterations: int = 14,
              chunk_size: Optional[int] = None,
              cache: Optional[ResultCache] = None,
-             estimator: Optional[EstimatorConfig] = None,
-             backend: Union["SolverBackend", str, None] = None) -> CellResult:
+             estimator: Optional[EstimatorConfig] = None) -> CellResult:
     """Characterise one cell: Monte-Carlo offsets and sensing delay.
 
     Parameters
@@ -265,18 +260,10 @@ def run_cell(cell: ExperimentCell,
         directly-sampled tail.  ``REPRO_NO_RAREEVENT=1`` forces the
         fallback.  The resolved estimator is part of the cache key, so
         fit and tail entries never collide.
-    backend:
-        Solver backend for the transient hot loop — a registered name,
-        a :class:`~repro.spice.backends.base.SolverBackend` instance,
-        or ``None`` for environment/default resolution (see
-        :mod:`repro.spice.backends`).  Resolved once per cell; the
-        resolved backend's identity is part of the cache key, so cached
-        results never mix backends.
     """
     settings = settings or default_mc_settings()
     aging = aging or default_aging_model()
     design = build_design(cell.scheme)
-    solver_backend = resolve_backend(backend)
     active = None
     if (estimator is not None and estimator.kind != "fit"
             and measure_offset and rare_event_enabled()):
@@ -290,8 +277,7 @@ def run_cell(cell: ExperimentCell,
                                  measure_offset=measure_offset,
                                  measure_delay=measure_delay,
                                  offset_iterations=offset_iterations,
-                                 estimator=active,
-                                 backend=solver_backend)
+                                 estimator=active)
         cached = cache.load(key, cell, failure_rate)
         if cached is not None:
             return cached
@@ -308,7 +294,7 @@ def run_cell(cell: ExperimentCell,
     delay_parts: List[List[Tuple[float, np.ndarray]]] = []
     for chunk, batch in zip(chunks, sizes):
         testbench = SenseAmpTestbench(design, cell.env, batch_size=batch,
-                                      timing=timing, backend=solver_backend)
+                                      timing=timing)
         testbench.set_vth_shifts(chunk)
         if measure_offset:
             with PERF.timer("cell.offset"):
@@ -329,7 +315,7 @@ def run_cell(cell: ExperimentCell,
             tail = _run_tail_estimator(active, cell, design, settings,
                                        aging, timing, failure_rate,
                                        offset_iterations, chunk_size,
-                                       offsets, backend=solver_backend)
+                                       offsets)
         offset = OffsetDistribution(offsets=offsets,
                                     fit=fit_offsets(offsets),
                                     failure_rate=failure_rate,

@@ -201,13 +201,10 @@ def extract_offsets(testbench: SenseAmpTestbench,
                                                  t_window=t_window,
                                                  sample_mask=mask)
 
-    if getattr(testbench, "fused_endpoints", False):
-        # One stacked 2x-batch transient instead of two endpoint reads.
-        sign_hi, sign_lo = testbench.resolve_sign_pair(
-            hi, lo, swapped=swapped, t_window=t_window)
-        in_range = (polarity * sign_hi > 0) & (polarity * sign_lo < 0)
-    else:
-        in_range = (decision(hi) > 0) & (decision(lo) < 0)
+    # Both endpoint reads in one stacked 2x-batch transient.
+    sign_hi, sign_lo = testbench.resolve_sign_pair(
+        hi, lo, swapped=swapped, t_window=t_window)
+    in_range = (polarity * sign_hi > 0) & (polarity * sign_lo < 0)
     active = in_range if mask_out_of_range else None
     PERF.count("offset.samples", batch)
     PERF.count("offset.samples_out_of_range", int(batch - in_range.sum()))

@@ -90,7 +90,6 @@ def run_grid(which: str,
              chunk_size: Optional[int] = None,
              cache: Optional[ResultCache] = None,
              estimator: Optional[EstimatorConfig] = None,
-             backend=None,
              progress=None) -> List[GridRow]:
     """Execute one paper table's grid.
 
@@ -114,10 +113,6 @@ def run_grid(which: str,
     estimator:
         Optional rare-event tail estimator forwarded to every cell
         (see :func:`~repro.core.experiment.run_cell`).
-    backend:
-        Solver backend (name, instance, or ``None`` for environment
-        resolution) forwarded to every cell via
-        :func:`~repro.core.parallel.run_cells`.
     progress:
         Optional callback ``(index, total, cell)`` for CLI progress
         reporting (start of each cell when serial, completion when
@@ -131,7 +126,7 @@ def run_grid(which: str,
     results = run_cells(cells, settings=settings, timing=timing,
                         offset_iterations=offset_iterations,
                         chunk_size=chunk_size, cache=cache,
-                        estimator=estimator, backend=backend,
+                        estimator=estimator,
                         workers=workers, progress=progress)
     rows: List[GridRow] = []
     for cell, result in zip(cells, results):

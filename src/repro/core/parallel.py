@@ -24,14 +24,12 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..aging.engine import AgingModel
 from ..analysis.perf import PERF
 from ..circuits.sense_amp import ReadTiming
 from ..constants import FAILURE_RATE_TARGET
-from ..spice.backends import resolve_backend
-from ..spice.backends.base import SolverBackend
 from .cache import ResultCache
 from .experiment import CellResult, ExperimentCell, run_cell
 from .montecarlo import McSettings
@@ -133,7 +131,6 @@ def run_cells(cells: Sequence[ExperimentCell],
               chunk_size: Optional[int] = None,
               cache: Optional[ResultCache] = None,
               estimator: Optional[EstimatorConfig] = None,
-              backend: Union[SolverBackend, str, None] = None,
               workers: Optional[int] = None,
               progress: Optional[ProgressFn] = None,
               timeout: Optional[float] = None,
@@ -151,13 +148,6 @@ def run_cells(cells: Sequence[ExperimentCell],
         A shared ``cache`` is concurrency-safe: the store pickles into
         each worker as a directory path and entries are written with
         atomic renames.
-    backend:
-        Solver backend for every cell — a registered name, a
-        :class:`~repro.spice.backends.base.SolverBackend` instance, or
-        ``None`` for environment/default resolution.  Resolved to a
-        *name* here (instances hold compiled-kernel handles that do
-        not pickle) and re-resolved inside each worker, so parallel
-        and serial runs use the same backend.
     workers:
         Process count; ``None`` uses one per CPU, ``<= 1`` runs the
         serial in-process loop (bit-identical fallback).
@@ -178,16 +168,11 @@ def run_cells(cells: Sequence[ExperimentCell],
         job service uses.
     """
     cells = list(cells)
-    # Resolve to a plain name before building kwargs: backend instances
-    # carry unpicklable state (ctypes handles, jit caches) and each
-    # worker process should compile/select its own kernel anyway.
-    backend_name = resolve_backend(backend).name
     kwargs: Dict[str, Any] = dict(
         settings=settings, aging=aging, timing=timing,
         failure_rate=failure_rate, measure_offset=measure_offset,
         measure_delay=measure_delay, offset_iterations=offset_iterations,
-        chunk_size=chunk_size, cache=cache, estimator=estimator,
-        backend=backend_name)
+        chunk_size=chunk_size, cache=cache, estimator=estimator)
     if workers is None:
         workers = default_workers()
     deadline = (None if timeout is None

@@ -22,8 +22,6 @@ from ..analysis.perf import PERF
 from ..circuits.sense_amp import (ReadTiming, SenseAmpDesign,
                                   apply_waveforms)
 from ..models.temperature import Environment
-from ..spice.backends import resolve_backend
-from ..spice.backends.base import SolverBackend
 from ..spice.mna import MnaSystem
 from ..spice.measure import crossing_time, final_sign
 from ..spice.solver import NewtonOptions
@@ -68,19 +66,11 @@ class WarmStartOptions:
     ``state_reuse`` is **bit-identical**: the shared pre-read operating
     point is the same vector whether built once or per call
     (``run_transient`` copies it and re-applies the waveforms).
-    ``trajectory``, ``extrapolate`` and ``quasi`` change the Newton
-    starting point and iteration operator, so their results agree with
-    the cold start only to solver tolerance — which is why enabling any
-    of them also tightens the transient Newton ``vtol`` by
-    ``vtol_factor`` (the documented tolerance contract; see
-    docs/simulator.md).
-
-    ``quasi`` defaults to off: on the paper's sense-amplifier systems
-    the Jacobian blocks are ~10x10, so factorisation is cheap relative
-    to device-model evaluation and the chord iteration's linear
-    convergence costs more residual evaluations than the reused factor
-    saves (measured in ``BENCH_warmstart.json``); the mode is kept for
-    stiffer/larger systems where the trade-off reverses.
+    ``trajectory`` and ``extrapolate`` change the Newton starting
+    point, so their results agree with the cold start only to solver
+    tolerance — which is why enabling either also tightens the
+    transient Newton ``vtol`` by ``vtol_factor`` (the documented
+    tolerance contract; see docs/simulator.md).
     """
 
     #: Build the pre-read operating point once per testbench and reuse
@@ -93,11 +83,8 @@ class WarmStartOptions:
     #: Seed steps without a trajectory by linear extrapolation from the
     #: previous two accepted points.
     extrapolate: bool = True
-    #: Reuse Newton's factorised Jacobian blocks across iterations and
-    #: steps, refactorising per sample on residual stall.
-    quasi: bool = False
-    #: Transient Newton ``vtol`` multiplier applied while ``trajectory``,
-    #: ``extrapolate`` or ``quasi`` is active.
+    #: Transient Newton ``vtol`` multiplier applied while ``trajectory``
+    #: or ``extrapolate`` is active.
     vtol_factor: float = 0.1
     #: Per-sample alignment gate [V] for trajectory seeds.
     guess_gate: float = 0.2
@@ -112,8 +99,7 @@ class WarmStartOptions:
     @classmethod
     def disabled(cls) -> "WarmStartOptions":
         """Cold-start policy (the legacy, pre-warm-start behaviour)."""
-        return cls(state_reuse=False, trajectory=False, extrapolate=False,
-                   quasi=False)
+        return cls(state_reuse=False, trajectory=False, extrapolate=False)
 
 
 def default_probes(design: SenseAmpDesign) -> Tuple[str, ...]:
@@ -147,11 +133,6 @@ class SenseAmpTestbench:
         Reuse policy for repeated solves (see :class:`WarmStartOptions`);
         defaults to :meth:`WarmStartOptions.from_env`, i.e. fully warm
         unless ``REPRO_NO_WARMSTART`` is set.
-    backend:
-        Solver backend for the transient hot loop — a name, a
-        :class:`~repro.spice.backends.base.SolverBackend` instance, or
-        ``None`` for environment/default resolution
-        (:func:`repro.spice.backends.resolve_backend`).
     """
 
     def __init__(self, design: SenseAmpDesign, env: Environment,
@@ -159,28 +140,21 @@ class SenseAmpTestbench:
                  timing: ReadTiming = ReadTiming(),
                  newton: NewtonOptions = NewtonOptions(),
                  early_decision: bool = True,
-                 warmstart: Optional[WarmStartOptions] = None,
-                 backend: Union["SolverBackend", str, None] = None) -> None:
+                 warmstart: Optional[WarmStartOptions] = None) -> None:
         self.design = design
         self.env = env
         self.timing = timing
         self.newton = newton
         self.early_decision = early_decision
-        #: Solver backend driving every transient of this bench
-        #: (resolved once, so a mid-run environment change cannot split
-        #: a characterisation across backends).
-        self.backend = resolve_backend(backend)
         self.warmstart = (WarmStartOptions.from_env()
                           if warmstart is None else warmstart)
-        # Trajectory seeding and chord iterations change the Newton
-        # starting point / operator, so the transient solves run under a
-        # tightened tolerance to keep results within the documented
-        # envelope of the cold-start path.
-        if (self.warmstart.trajectory or self.warmstart.extrapolate
-                or self.warmstart.quasi):
+        # Trajectory seeding and extrapolation change the Newton
+        # starting point, so the transient solves run under a tightened
+        # tolerance to keep results within the documented envelope of
+        # the cold-start path.
+        if self.warmstart.trajectory or self.warmstart.extrapolate:
             self._transient_newton = dataclasses.replace(
-                newton, quasi=self.warmstart.quasi,
-                vtol=newton.vtol * self.warmstart.vtol_factor)
+                newton, vtol=newton.vtol * self.warmstart.vtol_factor)
         else:
             self._transient_newton = newton
         self.system = MnaSystem(design.circuit, env.temperature_k,
@@ -281,8 +255,7 @@ class SenseAmpTestbench:
                              guess_trajectory=guess_trajectory,
                              guess_gate=self.warmstart.guess_gate,
                              extrapolate=self.warmstart.extrapolate,
-                             record_states=record_states,
-                             backend=self.backend)
+                             record_states=record_states)
 
     def resolve_sign(self, vin: Union[float, np.ndarray],
                      swapped: bool = False,
@@ -309,17 +282,6 @@ class SenseAmpTestbench:
         if use_traj and result.states is not None:
             self._trajectories[slot] = result.states
         return final_sign(result.differential("s", "sbar"))
-
-    @property
-    def fused_endpoints(self) -> bool:
-        """True when :meth:`resolve_sign_pair` should replace the two
-        endpoint monotonicity reads of the offset search.
-
-        Rides the reduced-assembly switch: with ``REPRO_NO_REDUCED=1``
-        the offset search falls back to two separate endpoint reads,
-        reproducing the pre-fusion baseline exactly.
-        """
-        return bool(self.system.reduced)
 
     def _fused(self) -> MnaSystem:
         """The 2x-batch sibling system used by fused endpoint reads.
@@ -356,8 +318,8 @@ class SenseAmpTestbench:
         setup, per-step Python) once, and the doubled Newton batch keeps
         the dense kernels in their efficient regime.  The recorded
         states of the ``vin_lo`` half seed the first bisection read,
-        mirroring the sequential path where the lo endpoint is the last
-        trajectory recorded before bisection starts.
+        mirroring two sequential reads, where the lo endpoint would be
+        the last trajectory recorded before bisection starts.
         """
         batch = self.batch_size
         hi = np.broadcast_to(np.asarray(vin_hi, dtype=float), (batch,))
@@ -384,8 +346,7 @@ class SenseAmpTestbench:
             options=self._transient_newton,
             decision=self.decision_spec() if self.early_decision else None,
             extrapolate=self.warmstart.extrapolate,
-            record_states=use_traj,
-            backend=self.backend)
+            record_states=use_traj)
         if use_traj and result.states is not None:
             self._trajectories[("sign", swapped, t_window)] = [
                 state[batch:] for state in result.states]

@@ -41,10 +41,7 @@ class JobRequest:
     Mirrors the knobs of :func:`repro.core.experiment.run_cell` using
     only JSON-representable fields so requests journal, POST and hash
     cleanly.  ``workload`` is a paper workload *name* (``"80r0"``);
-    ``None`` (with ``time_s=0``) is the fresh population.  ``backend``
-    is a solver-backend *name* (``"numpy"``/``"compiled"``); ``None``
-    resolves from the worker's environment, exactly like a direct
-    ``run_cell`` call.
+    ``None`` (with ``time_s=0``) is the fresh population.
     """
 
     scheme: str = "nssa"
@@ -60,7 +57,6 @@ class JobRequest:
     measure_delay: bool = True
     chunk_size: Optional[int] = None
     timeout_s: Optional[float] = None
-    backend: Optional[str] = None
 
     def validate(self) -> None:
         """Raise ``ValueError`` for any field the worker cannot honour."""
@@ -69,19 +65,13 @@ class JobRequest:
     def to_cell(self):
         """The :class:`~repro.core.experiment.ExperimentCell` to run.
 
-        Validates the request as a side effect: unknown schemes,
-        workload names and solver-backend names raise ``ValueError``
-        here, which the submit paths surface as a client error.
+        Validates the request as a side effect: unknown schemes and
+        workload names raise ``ValueError`` here, which the submit paths
+        surface as a client error.
         """
         from ..core.experiment import ExperimentCell
         from ..models.temperature import Environment
-        from ..spice.backends import available_backends
         from ..workloads import paper_workload
-        if (self.backend is not None
-                and self.backend not in available_backends()):
-            raise ValueError(
-                f"unknown solver backend {self.backend!r}; available: "
-                f"{', '.join(available_backends())}")
         workload = (paper_workload(self.workload)
                     if self.workload is not None else None)
         return ExperimentCell(self.scheme, workload, self.time_s,
@@ -98,8 +88,7 @@ class JobRequest:
                     offset_iterations=self.offset_iterations,
                     measure_offset=self.measure_offset,
                     measure_delay=self.measure_delay,
-                    chunk_size=self.chunk_size,
-                    backend=self.backend)
+                    chunk_size=self.chunk_size)
 
     def signature(self) -> Tuple:
         """Batch-compatibility signature.
@@ -111,7 +100,7 @@ class JobRequest:
         """
         return (self.mc, self.seed, self.dt, self.offset_iterations,
                 self.measure_offset, self.measure_delay,
-                self.chunk_size, self.timeout_s, self.backend)
+                self.chunk_size, self.timeout_s)
 
     def cache_key(self, cache) -> str:
         """Content-addressed identity shared with ``run_cell``."""
@@ -133,6 +122,10 @@ class JobRequest:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "JobRequest":
+        doc = dict(doc)
+        # Journals written while the solver backend was selectable
+        # carry a ``backend`` field; there is one solver path now.
+        doc.pop("backend", None)
         fields = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - fields
         if unknown:

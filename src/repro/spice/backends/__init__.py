@@ -1,89 +1,20 @@
-"""Pluggable solver backends for the reduced transient hot loop.
+"""Step kernels for the reduced transient hot loop.
 
-Selection (first match wins):
-
-1. An explicit ``backend=`` argument (a name or a
-   :class:`~repro.spice.backends.base.SolverBackend` instance) given to
-   ``run_cell``/``run_cells``/``run_grid``/``run_transient`` or the
-   testbench;
-2. the ``REPRO_BACKEND`` environment variable;
-3. the default: ``compiled``.
-
-``REPRO_NO_COMPILED=1`` is a global kill switch following the same
-discipline as the other ``REPRO_NO_*`` opt-outs: any *name*-based
-resolution (including an explicit ``backend="compiled"`` string and
-``REPRO_BACKEND``) lands on ``numpy``; only passing a backend *object*
-bypasses it (the parity tests do exactly that).
-
-The resolved backend's :meth:`~repro.spice.backends.base.SolverBackend.
-cache_token` is salted into the content-addressed result-cache key, so
-cached results never mix backends.
+Every transient solves its backward-Euler steps through the fused
+kernels of :mod:`repro.spice.backends.compiled`: the runtime-compiled C
+kernel (flavor ``cc``) wherever a C compiler builds it, else the fused
+pure-numpy kernel (flavor ``numpy``).  The process picks the flavor
+once; :func:`cache_token` names it (plus, for ``cc``, the ``.so`` tag)
+and is salted into the content-addressed result-cache key, so cached
+results never mix flavors.  :class:`~repro.spice.backends.
+numpy_backend.NumpyStepKernel` is the reference oracle the fused
+kernels are tested against.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Union
+from .base import StepKernel
+from .compiled import backend_host_info, cache_token, step_kernel
 
-from .base import SolverBackend, StepKernel
-from .compiled import CompiledBackend
-from .numpy_backend import NumpyBackend
-
-__all__ = ["SolverBackend", "StepKernel", "NumpyBackend", "CompiledBackend",
-           "BACKEND_ENV", "NO_COMPILED_ENV", "available_backends",
-           "get_backend", "resolve_backend", "backend_host_info"]
-
-#: Environment variable naming the default backend.
-BACKEND_ENV = "REPRO_BACKEND"
-#: Opt-out switch: force the ``numpy`` backend everywhere.
-NO_COMPILED_ENV = "REPRO_NO_COMPILED"
-
-_REGISTRY = {"numpy": NumpyBackend, "compiled": CompiledBackend}
-_INSTANCES: Dict[str, SolverBackend] = {}
-
-
-def available_backends() -> List[str]:
-    """Registered backend names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def get_backend(name: str) -> SolverBackend:
-    """The (shared) backend instance registered under ``name``."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown solver backend {name!r}; available: "
-            f"{', '.join(available_backends())}") from None
-    instance = _INSTANCES.get(name)
-    if instance is None:
-        instance = _INSTANCES[name] = cls()
-    return instance
-
-
-def _no_compiled() -> bool:
-    return os.environ.get(NO_COMPILED_ENV, "0") == "1"
-
-
-def resolve_backend(backend: Union[SolverBackend, str, None] = None
-                    ) -> SolverBackend:
-    """Resolve a backend argument/environment to a backend instance.
-
-    ``backend`` may be ``None`` (environment/default resolution), a
-    registered name, or an already-resolved instance (returned as is,
-    bypassing the kill switch).
-    """
-    if isinstance(backend, SolverBackend):
-        return backend
-    name = backend
-    if name is None:
-        name = os.environ.get(BACKEND_ENV) or None
-    if name is None or (name == "compiled" and _no_compiled()):
-        name = "numpy" if _no_compiled() else "compiled"
-    return get_backend(name)
-
-
-def backend_host_info(backend: Union[SolverBackend, str, None] = None
-                      ) -> dict:
-    """Backend identity block for ``BENCH_*.json`` host metadata."""
-    return resolve_backend(backend).describe()
+__all__ = ["StepKernel", "backend_host_info", "cache_token",
+           "step_kernel"]

@@ -1,33 +1,39 @@
-"""Runtime-compiled C step kernel (the ``cc`` flavor of ``compiled``).
+"""Runtime-compiled C step kernel (the ``cc`` flavor).
 
-When numba is not installed but a C compiler is on PATH (``cc``), the
-whole per-step Newton solve — argument matmul, EKV evaluation, reduced
-assembly, per-sample LU solve, damped update and per-sample convergence
-masking — is compiled once per process from the source below and driven
-through :mod:`ctypes`.  The kernel is the scalar-C transliteration of
-:func:`repro.spice.backends._kernel_py.newton_step` operating on the
-:class:`~repro.spice.backends.maps.ReducedKernelMaps` arrays.
+Wherever a C compiler is on PATH (``cc``), the whole per-step Newton
+solve — argument matmul, EKV evaluation, reduced assembly, per-sample
+LU solve, damped update and per-sample convergence masking — is
+compiled once from the source below and driven through :mod:`ctypes`.
+The kernel is the scalar-C transliteration of
+:class:`~repro.spice.backends.compiled.FusedNumpyKernel` operating on
+the :class:`~repro.spice.backends.maps.ReducedKernelMaps` arrays.
 
-Compiled objects are cached on disk keyed by a hash of (source, flags,
-compiler version), so across processes/pytest workers only the first
-ever run pays the compile; everyone else ``dlopen``\\ s the cached
-``.so``.  Flag sets are tried most-aggressive first, but fast-math is
-deliberately excluded: with ``-Ofast -fopenmp-simd`` glibc routes
-``exp`` through libmvec, whose vector lanes round differently from the
-scalar remainder loop, so a sample's waveform would depend on where it
-lands in the batch.  ``chunk_size`` is not part of the result cache
-key, so results must be invariant to batch packing — strict IEEE math
-with scalar libm calls guarantees that.  The ``compiled`` backend
-additionally self-checks the produced kernel against the fused-numpy
-kernel on first use, falling back permanently in the process if the
-results disagree (see ``compiled.py``).
+Compiled objects are cached on disk under a tag hashing the source,
+the flags, the compiler's identity (resolved path, size and mtime) and
+the host's CPU feature flags (what ``-march=native`` targets), so a
+cached ``.so`` is reused only by the toolchain and CPU that built it,
+and finding it spawns no process.  Concurrent cold processes each
+compile from a private temporary source into a private temporary
+object, check it exports ``newton_step``, and publish it with an atomic
+``os.replace``.  Flag sets are tried most-aggressive first, but
+fast-math is deliberately excluded: with ``-Ofast -fopenmp-simd`` glibc
+routes ``exp`` through libmvec, whose vector lanes round differently
+from the scalar remainder loop, so a sample's waveform would depend on
+where it lands in the batch.  ``chunk_size`` is not part of the result
+cache key, so results must be invariant to batch packing — strict IEEE
+math with scalar libm calls guarantees that.  The kernel is also
+self-checked against the fused-numpy kernel on first use, falling back
+permanently in the process if the results disagree (see
+``compiled.py``).
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -323,64 +329,112 @@ def _setup_argtypes(fn) -> None:
     ]
 
 
-def _compile(flags: str, directory: str) -> Tuple[Optional[object], float,
-                                                  bool]:
-    """Compile (or reuse) the kernel for one flag set.
+@functools.lru_cache(maxsize=None)
+def _host_identity() -> str:
+    """Compiler identity and CPU feature flags, read without a process.
 
-    Returns ``(fn, compile_ms, compiled_now)`` — ``fn`` is ``None``
-    when this flag set does not build on the host.
+    The compiler is identified by its resolved path, size and mtime
+    (an upgrade replaces the binary); the CPU by the ``flags`` (x86) or
+    ``Features`` (arm) line of ``/proc/cpuinfo``, falling back to the
+    platform's machine/processor names elsewhere.
     """
-    tag = hashlib.sha256((C_SOURCE + "\0" + flags).encode()).hexdigest()[:16]
+    compiler = os.path.realpath(shutil.which("cc") or "cc")
+    try:
+        stat = os.stat(compiler)
+        compiler += f":{stat.st_size}:{stat.st_mtime_ns}"
+    except OSError:
+        pass
+    cpu = f"{platform.machine()} {platform.processor()}"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8",
+                  errors="replace") as fh:
+            for line in fh:
+                if line.startswith(("flags", "Features")):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return compiler + "\0" + cpu
+
+
+def kernel_tag(flags: str) -> str:
+    """Cache tag of the kernel built with ``flags`` on this host."""
+    blob = "\0".join((C_SOURCE, flags, _host_identity()))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _load(path: str):
+    """The ``newton_step`` entry point of ``path``, or None if unusable."""
+    try:
+        fn = ctypes.CDLL(path).newton_step
+    except (OSError, AttributeError):
+        return None
+    _setup_argtypes(fn)
+    return fn
+
+
+def _compile(flags: str, directory: str) -> Tuple[Optional[object], float,
+                                                  str]:
+    """Load the cached kernel for one flag set, or build and publish it.
+
+    Returns ``(fn, compile_ms, tag)`` — ``fn`` is ``None`` when this
+    flag set does not build on the host; ``compile_ms`` is 0.0 when a
+    cached ``.so`` was reused.  Raises ``OSError`` when ``directory``
+    is unusable.
+    """
+    tag = kernel_tag(flags)
     so_path = os.path.join(directory, f"newton_step_{tag}.so")
-    compile_ms = 0.0
-    compiled_now = False
-    if not os.path.exists(so_path):
-        os.makedirs(directory, exist_ok=True)
-        c_path = os.path.join(directory, f"newton_step_{tag}.c")
-        with open(c_path, "w", encoding="utf-8") as fh:
-            fh.write(C_SOURCE)
-        fd, tmp_so = tempfile.mkstemp(suffix=".so", dir=directory)
-        os.close(fd)
-        cmd = ["cc"] + flags.split() + ["-shared", "-fPIC", c_path,
-                                        "-o", tmp_so, "-lm"]
+    if os.path.exists(so_path):
+        fn = _load(so_path)
+        if fn is not None:
+            return fn, 0.0, tag
+        # Unusable cached object: rebuild and replace it below.
+    os.makedirs(directory, exist_ok=True)
+    fd, c_path = tempfile.mkstemp(suffix=".c", dir=directory)
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        fh.write(C_SOURCE)
+    fd, tmp_so = tempfile.mkstemp(suffix=".so", dir=directory)
+    os.close(fd)
+    cmd = ["cc"] + flags.split() + ["-shared", "-fPIC", c_path,
+                                    "-o", tmp_so, "-lm"]
+    try:
         start = time.perf_counter()
         try:
-            subprocess.run(cmd, check=True, capture_output=True, timeout=120)
+            subprocess.run(cmd, check=True, capture_output=True,
+                           timeout=120)
         except (OSError, subprocess.SubprocessError):
+            return None, 0.0, tag
+        compile_ms = (time.perf_counter() - start) * 1e3
+        fn = _load(tmp_so)
+        if fn is not None:
+            os.replace(tmp_so, so_path)
+        return fn, compile_ms, tag
+    finally:
+        for path in (c_path, tmp_so):
             try:
-                os.unlink(tmp_so)
+                os.unlink(path)
             except OSError:
                 pass
-            return None, 0.0, False
-        compile_ms = (time.perf_counter() - start) * 1e3
-        compiled_now = True
-        os.replace(tmp_so, so_path)
-    try:
-        lib = ctypes.CDLL(so_path)
-        fn = lib.newton_step
-    except OSError:
-        return None, compile_ms, compiled_now
-    _setup_argtypes(fn)
-    return fn, compile_ms, compiled_now
 
 
-def load_kernel() -> Tuple[Optional[object], float, Optional[str]]:
+def load_kernel() -> Tuple[Optional[object], float, Optional[str],
+                           Optional[str]]:
     """Build/load the C step kernel.
 
-    Returns ``(fn, compile_ms, flags)``; ``fn`` is ``None`` when no
+    Returns ``(fn, compile_ms, flags, tag)``; ``fn`` is ``None`` when no
     compiler is available or every flag set fails.  ``compile_ms`` is
     0.0 when a cached ``.so`` was reused.
     """
     if not compiler_available():
-        return None, 0.0, None
+        return None, 0.0, None, None
     directories = [_cache_dir(), os.path.join(tempfile.gettempdir(),
                                               "repro-cc-kernels")]
     for directory in directories:
         for flags in CC_FLAG_SETS:
             try:
-                fn, ms, _ = _compile(flags, directory)
+                fn, ms, tag = _compile(flags, directory)
             except OSError:
                 break  # directory unusable; try the fallback dir
             if fn is not None:
-                return fn, ms, flags
-    return None, 0.0, None
+                return fn, ms, flags, tag
+    return None, 0.0, None, None

@@ -1,35 +1,17 @@
-"""Solver-backend interface for the reduced transient hot loop.
+"""Step-kernel interface of the reduced transient hot loop.
 
-A :class:`SolverBackend` turns a compiled :class:`~repro.spice.mna.
-MnaSystem` plus one backward-Euler step configuration into a
-:class:`StepKernel` — the object the transient engine drives once per
-time step.  The kernel owns whatever precomputation and workspaces it
-needs; the engine only ever calls ``begin_step`` (new time point,
-previous accepted state) followed by ``solve`` (Newton-iterate the
-still-active rows of ``v_new`` in place).
-
-Two backends ship:
-
-``numpy``
-    The PR-3 reduced path, verbatim: ``_ReducedStepper`` +
-    :func:`repro.spice.solver.newton_solve`.  This is the bitwise
-    reference every other backend is measured against.
-``compiled``
-    Fused per-step kernels (device evaluation + reduced assembly +
-    dense solve in one pass) with a jit ladder — numba where available,
-    a runtime-compiled C kernel where a C compiler is available, and a
-    fused pure-numpy kernel everywhere else.  See
-    :mod:`repro.spice.backends.compiled`.
-
-Backends are identified in the persistent result cache by
-:meth:`SolverBackend.cache_token` (backend name + kernel version), so
-results produced by different backends never collide.
+A :class:`StepKernel` binds a compiled :class:`~repro.spice.mna.
+MnaSystem` to one backward-Euler step configuration (``dt``, batch,
+Newton options).  The transient engine drives it once per time step:
+``begin_step`` (new time point, previous accepted state) followed by
+``solve`` (Newton-iterate the still-active rows of ``v_new`` in place).
+The fused kernels live in :mod:`repro.spice.backends.compiled`; the
+plain-numpy oracle in :mod:`repro.spice.backends.numpy_backend`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict
 
 import numpy as np
 
@@ -57,33 +39,4 @@ class StepKernel(abc.ABC):
         :func:`repro.spice.solver.newton_solve`.  Raises
         :class:`repro.spice.solver.ConvergenceError` when any active
         sample fails to converge.
-        """
-
-
-class SolverBackend(abc.ABC):
-    """Factory for :class:`StepKernel` instances, plus identity metadata."""
-
-    #: Registry / CLI name of the backend.
-    name: str = "abstract"
-    #: Version of the kernel semantics; bumped whenever the kernel's
-    #: numerical behaviour could change.  Part of the cache token.
-    kernel_version: str = "0"
-
-    def cache_token(self) -> Dict[str, str]:
-        """Identity salted into the content-addressed result cache key."""
-        return {"name": self.name, "kernel": self.kernel_version}
-
-    def describe(self) -> Dict[str, Any]:
-        """Benchmark/host metadata: backend id plus runtime facts."""
-        return {"backend": self.name, "kernel_version": self.kernel_version}
-
-    @abc.abstractmethod
-    def step_kernel(self, system, c_over_dt: np.ndarray, dt: float,
-                    batch: int, options) -> StepKernel:
-        """Build (or fetch a cached) step kernel for one transient run.
-
-        Parameters mirror what ``_run_reduced_be`` holds: the compiled
-        ``system``, the precomputed ``c_matrix / dt`` operator, the step
-        ``dt`` itself (cache key), the batch size and the
-        :class:`~repro.spice.solver.NewtonOptions`.
         """

@@ -1,57 +1,51 @@
-"""The ``compiled`` backend: fused per-step Newton kernels.
+"""Fused per-step Newton kernels: the production transient path.
 
-One :meth:`CompiledBackend.step_kernel` call binds a system + step
-configuration to a kernel that performs the *entire* per-step Newton
-solve — EKV device evaluation, reduced residual/Jacobian assembly,
-dense solve, damped update and per-sample convergence masking — in one
-pass over the :class:`~repro.spice.backends.maps.ReducedKernelMaps`
-operators, instead of the reference path's ~15 python-level dispatches
-per Newton iteration.
+:func:`step_kernel` binds a system + step configuration to a kernel
+that performs the *entire* per-step Newton solve — EKV device
+evaluation, reduced residual/Jacobian assembly, dense solve, damped
+update and per-sample convergence masking — in one pass over the
+:class:`~repro.spice.backends.maps.ReducedKernelMaps` operators,
+instead of the oracle kernel's ~15 python-level dispatches per Newton
+iteration.
 
-Three kernel *flavors* share those maps, tried in order (the jit
-ladder, overridable with ``REPRO_COMPILED_JIT=auto|numba|cc|numpy``):
+Two kernel *flavors* share those maps; the process picks one, once:
 
-``numba``
-    :func:`repro.spice.backends._kernel_py.newton_step` jitted with
-    ``numba.njit`` — used when numba is importable.
 ``cc``
-    The same kernel compiled from C at runtime and driven through
-    ctypes (:mod:`repro.spice.backends._cc`) — used when a C compiler
-    is on PATH.  This is the fast path on numba-less hosts.
+    The kernel compiled from C at runtime and driven through ctypes
+    (:mod:`repro.spice.backends._cc`) — used whenever a C compiler
+    builds it.
 ``numpy``
     A fused pure-numpy kernel (one matmul for all model arguments, ~45
     in-place ufuncs for the device algebra, constant-folded scatter
-    matmuls) — always available; also the reference the jitted flavors
-    are self-checked against.
+    matmuls) — the path on hosts without a C compiler, and the
+    reference the ``cc`` kernel is self-checked against.
 
-**Safety**: the first solve through a jitted flavor in each process is
-replayed on the fused-numpy kernel and compared; a disagreement beyond
-Newton tolerance permanently demotes the process to the numpy flavor
-(and counts ``spice.backend.selfcheck_failures``).  Kernels are cached
-on the system object keyed by ``(flavor, dt, batch, options)``, so the
-long-lived testbench systems pay the map/workspace construction once
-(``spice.backend.jit_cache_hits`` counts reuse).
+**Safety**: the first solve through the ``cc`` kernel in each process
+is replayed on the fused-numpy kernel and compared; a disagreement
+beyond Newton tolerance permanently demotes the process to the numpy
+flavor (and counts ``spice.backend.selfcheck_failures``).  Kernels are
+cached on the system object keyed by ``(flavor, dt, batch, options)``,
+so the long-lived testbench systems pay the map/workspace construction
+once (``spice.backend.jit_cache_hits`` counts reuse).
 
-Offsets produced through this backend are bit-identical to the
-``numpy`` backend (the sign decisions the bisection consumes are ulp-
-robust); raw trajectories agree to solver tolerance.  Anything the
-fused kernels do not cover exactly — quasi-Newton, unmasked solves,
-device-less or oversized systems — silently uses the reference kernel
-(``spice.backend.fallback_steps``).
+Offsets produced by either flavor are bit-identical to the
+:class:`~repro.spice.backends.numpy_backend.NumpyStepKernel` oracle
+(the sign decisions the bisection consumes are ulp-robust); raw
+trajectories agree to solver tolerance.  Configurations the fused
+kernels do not cover — unmasked solves, device-less systems — use the
+oracle kernel (``spice.backend.fallback_steps``).
 """
 
 from __future__ import annotations
 
-import os
-import time
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ...analysis.perf import PERF
 from ..solver import (ConvergenceError, NewtonOptions, _gufunc_solve,
                       _regularised_solve)
-from .base import SolverBackend, StepKernel
+from .base import StepKernel
 from .maps import ReducedKernelMaps
 from .numpy_backend import NumpyStepKernel
 from . import _cc
@@ -59,64 +53,46 @@ from . import _cc
 #: Semantics version of the fused kernels.  Part of the cache token.
 KERNEL_VERSION = "fused-1"
 
-#: Environment override for the jit ladder.
-JIT_ENV = "REPRO_COMPILED_JIT"
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-    NUMBA_VERSION: Optional[str] = _numba.__version__
-except Exception:  # pragma: no cover
-    _numba = None
-    NUMBA_VERSION = None
-
-# Process-wide flavor state: resolved once, shared by every backend
-# instance (kernels are pure functions of their arguments).
+# Process-wide flavor state: resolved once (kernels are pure functions
+# of their arguments).  Tests substitute the numpy flavor by setting
+# ``_FLAVOR = ("numpy", None)`` and undo it with _reset_flavor_cache.
 _FLAVOR: Optional[Tuple[str, Optional[object]]] = None
 _COMPILE_MS: Optional[float] = None
 _CC_FLAGS: Optional[str] = None
+_CC_TAG: Optional[str] = None
 _SELFCHECK: Optional[str] = None  # None=pending, "ok", "failed"
 
 
 def _resolve_flavor() -> Tuple[str, Optional[object]]:
-    """Pick the fastest available kernel flavor (once per process)."""
-    global _FLAVOR, _COMPILE_MS, _CC_FLAGS
+    """The ``cc`` kernel when it builds, else fused numpy (once)."""
+    global _FLAVOR, _COMPILE_MS, _CC_FLAGS, _CC_TAG
     if _FLAVOR is not None:
         return _FLAVOR
-    choice = os.environ.get(JIT_ENV, "auto").strip().lower() or "auto"
-    ladder = {"auto": ("numba", "cc", "numpy"), "numba": ("numba",),
-              "cc": ("cc",), "numpy": ("numpy",)}.get(choice)
-    if ladder is None:
-        raise ValueError(
-            f"{JIT_ENV} must be auto|numba|cc|numpy, got {choice!r}")
-    for flavor in ladder:
-        if flavor == "numba" and _numba is not None:
-            from . import _kernel_py
-            fn = _numba.njit(cache=True, nogil=True)(_kernel_py.newton_step)
-            _FLAVOR = ("numba", fn)
-            return _FLAVOR
-        if flavor == "cc":
-            fn, compile_ms, flags = _cc.load_kernel()
-            if fn is not None:
-                _COMPILE_MS = compile_ms
-                _CC_FLAGS = flags
-                if compile_ms:
-                    PERF.gauge("spice.backend.kernel_compile_ms",
-                               round(compile_ms, 3))
-                _FLAVOR = ("cc", fn)
-                return _FLAVOR
-        if flavor == "numpy":
-            break
-    _FLAVOR = ("numpy", None)
+    fn, compile_ms, flags, tag = _cc.load_kernel()
+    if fn is None:
+        _FLAVOR = ("numpy", None)
+        return _FLAVOR
+    _COMPILE_MS, _CC_FLAGS, _CC_TAG = compile_ms, flags, tag
+    if compile_ms:
+        PERF.gauge("spice.backend.kernel_compile_ms", round(compile_ms, 3))
+    _FLAVOR = ("cc", fn)
     return _FLAVOR
 
 
 def _reset_flavor_cache() -> None:
-    """Forget the resolved flavor (tests sweep ``REPRO_COMPILED_JIT``)."""
-    global _FLAVOR, _SELFCHECK, _COMPILE_MS, _CC_FLAGS
+    """Forget the resolved flavor and the self-check verdict."""
+    global _FLAVOR, _SELFCHECK, _COMPILE_MS, _CC_FLAGS, _CC_TAG
     _FLAVOR = None
     _SELFCHECK = None
     _COMPILE_MS = None
     _CC_FLAGS = None
+    _CC_TAG = None
+
+
+def active_flavor() -> str:
+    """The flavor this process solves with (after any demotion)."""
+    flavor, _ = _resolve_flavor()
+    return "numpy" if _SELFCHECK == "failed" else flavor
 
 
 class _FusedStepBase(StepKernel):
@@ -155,7 +131,8 @@ class FusedNumpyKernel(_FusedStepBase):
     scatter structure, same clip/convergence order, same LAPACK gufunc
     solve with per-member regularisation fallback); the residual/
     Jacobian evaluation is the fused maps pipeline instead of
-    ``_ReducedStepper``.
+    :class:`~repro.spice.backends.numpy_backend.NumpyStepKernel`'s
+    assembly.
     """
 
     flavor = "numpy"
@@ -308,16 +285,16 @@ class FusedNumpyKernel(_FusedStepBase):
 
 
 class ScalarStepKernel(_FusedStepBase):
-    """Step kernel driving a jitted scalar function (``cc``/``numba``).
+    """Step kernel driving the compiled scalar C function (``cc``).
 
     The callable performs the whole Newton loop for the step; python
     only prepares the per-step constants and flushes perf counters.
     """
 
-    def __init__(self, maps, system, batch, options, flavor: str,
-                 fn) -> None:
+    flavor = "cc"
+
+    def __init__(self, maps, system, batch, options, fn) -> None:
         super().__init__(maps, system, batch, options)
-        self.flavor = flavor
         self._fn = fn
         nd, nu, n = maps.nd, maps.nu, maps.n
         wsize = (n + 18 * nd) * batch + batch * nu + batch * nu * nu
@@ -326,7 +303,6 @@ class ScalarStepKernel(_FusedStepBase):
         self._counts = np.zeros(3, dtype=np.int64)
 
     def solve(self, v_new: np.ndarray, active_idx: np.ndarray) -> int:
-        global _COMPILE_MS
         maps = self.maps
         options = self.options
         carg = maps.vth_carg()
@@ -337,14 +313,7 @@ class ScalarStepKernel(_FusedStepBase):
                 maps.js_w, maps.dev_c, maps.scal, maps.n, maps.nu,
                 maps.nd, options.max_iter, self._work, self._alive,
                 self._counts)
-        if self.flavor == "numba" and _COMPILE_MS is None:
-            start = time.perf_counter()
-            status = self._fn(*args)
-            _COMPILE_MS = (time.perf_counter() - start) * 1e3
-            PERF.gauge("spice.backend.kernel_compile_ms",
-                       round(_COMPILE_MS, 3))
-        else:
-            status = self._fn(*args)
+        status = self._fn(*args)
         depth = int(self._counts[0])
         PERF.count("newton.solves")
         PERF.count("newton.iterations", depth)
@@ -358,14 +327,14 @@ class ScalarStepKernel(_FusedStepBase):
         if status == -1:
             raise ConvergenceError(
                 f"Newton-Raphson did not converge in {options.max_iter} "
-                f"iterations (compiled {self.flavor} kernel)")
+                "iterations (compiled C kernel)")
         if status == -2:
             raise np.linalg.LinAlgError("Singular matrix")
         return depth
 
 
 class _SelfCheckKernel(StepKernel):
-    """First-use validation wrapper around a jitted kernel.
+    """First-use validation wrapper around the ``cc`` kernel.
 
     The first solve routed through this wrapper is replayed on the
     fused-numpy reference; agreement within Newton tolerance unlocks
@@ -421,58 +390,61 @@ class _SelfCheckKernel(StepKernel):
         return reference_iters
 
 
-class CompiledBackend(SolverBackend):
-    """Fused-kernel backend with the numba/cc/numpy jit ladder."""
+def cache_token() -> Dict[str, str]:
+    """Identity of the kernel that produces this process's results.
 
-    name = "compiled"
-    kernel_version = KERNEL_VERSION
+    Salted into the content-addressed result-cache key: the flavors
+    agree bitwise on offsets but not on delays (up to ~1e-15 s), so
+    entries never mix them; for ``cc`` the ``.so`` tag also pins the
+    source, flags, compiler and host CPU features that built it.
+    """
+    token = {"kernel": KERNEL_VERSION, "flavor": active_flavor()}
+    if token["flavor"] == "cc":
+        token["so"] = _CC_TAG
+    return token
 
-    def describe(self) -> dict:
-        flavor, _ = _resolve_flavor()
-        if _SELFCHECK == "failed":
-            flavor = "numpy"
-        return {
-            "backend": self.name,
-            "kernel_version": self.kernel_version,
-            "flavor": flavor,
-            "numba": {"available": _numba is not None,
-                      "version": NUMBA_VERSION},
-            "cc": {"available": _cc.compiler_available(),
-                   "flags": _CC_FLAGS},
-            "kernel_compile_ms": (round(_COMPILE_MS, 3)
-                                  if _COMPILE_MS is not None else None),
-        }
 
-    def step_kernel(self, system, c_over_dt: np.ndarray, dt: float,
-                    batch: int, options: NewtonOptions) -> StepKernel:
-        devices = getattr(system, "_devices", None)
-        if (options.quasi or not options.masked or devices is None
-                or devices.polarity.shape[0] == 0
-                or system.unknown_idx.size == 0):
-            # Out of the fused kernels' contract — use the reference
-            # kernel so semantics (and bits) are exactly the numpy
-            # backend's.
-            PERF.count("spice.backend.fallback_steps")
-            return NumpyStepKernel(system, c_over_dt, batch, options)
-        flavor, fn = _resolve_flavor()
-        if _SELFCHECK == "failed" or system.unknown_idx.size > _cc.MAX_NU:
-            flavor, fn = "numpy", None
-        cache = system.__dict__.setdefault("_backend_step_kernels", {})
-        key = (self.name, flavor, float(dt), int(batch), options)
-        kernel = cache.get(key)
-        if kernel is not None:
-            PERF.count("spice.backend.jit_cache_hits")
-            return kernel
-        maps = ReducedKernelMaps(system, c_over_dt, options)
-        if flavor == "numpy":
-            kernel = FusedNumpyKernel(maps, system, batch, options)
-        else:
-            fast = ScalarStepKernel(maps, system, batch, options,
-                                    flavor, fn)
-            if _SELFCHECK is None:
-                kernel = _SelfCheckKernel(
-                    fast, FusedNumpyKernel(maps, system, batch, options))
-            else:
-                kernel = fast
-        cache[key] = kernel
+def backend_host_info() -> Dict[str, Any]:
+    """Kernel identity block for benchmark/host metadata."""
+    return {
+        "kernel_version": KERNEL_VERSION,
+        "flavor": active_flavor(),
+        "cc": {"available": _cc.compiler_available(), "flags": _CC_FLAGS,
+               "tag": _CC_TAG},
+        "kernel_compile_ms": (round(_COMPILE_MS, 3)
+                              if _COMPILE_MS is not None else None),
+    }
+
+
+def step_kernel(system, c_over_dt: np.ndarray, dt: float, batch: int,
+                options: NewtonOptions) -> StepKernel:
+    """Build (or fetch the cached) step kernel for one transient run.
+
+    ``c_over_dt`` is the precomputed ``c_matrix / dt`` operator; ``dt``
+    itself only keys the per-system kernel cache.
+    """
+    if not options.masked or system._devices.polarity.shape[0] == 0:
+        # Out of the fused kernels' contract: the oracle kernel.
+        PERF.count("spice.backend.fallback_steps")
+        return NumpyStepKernel(system, c_over_dt, batch, options)
+    flavor, fn = _resolve_flavor()
+    if _SELFCHECK == "failed" or system.unknown_idx.size > _cc.MAX_NU:
+        flavor, fn = "numpy", None
+    cache = system.__dict__.setdefault("_backend_step_kernels", {})
+    key = (flavor, float(dt), int(batch), options)
+    kernel = cache.get(key)
+    if kernel is not None:
+        PERF.count("spice.backend.jit_cache_hits")
         return kernel
+    maps = ReducedKernelMaps(system, c_over_dt, options)
+    if flavor == "numpy":
+        kernel = FusedNumpyKernel(maps, system, batch, options)
+    else:
+        fast = ScalarStepKernel(maps, system, batch, options, fn)
+        if _SELFCHECK is None:
+            kernel = _SelfCheckKernel(
+                fast, FusedNumpyKernel(maps, system, batch, options))
+        else:
+            kernel = fast
+    cache[key] = kernel
+    return kernel

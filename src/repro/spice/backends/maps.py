@@ -21,15 +21,15 @@ one matrix:
   into a per-step constant (:attr:`CdtT_u`, computed by
   ``begin_step``) and a per-iteration matmul row block (:attr:`negA_u`).
 
-Both the fused-numpy kernel and the jitted scalar kernels (numba / C)
-consume the same instance; the scalar kernels additionally use the
-sparse index/coefficient form of the scatters (:attr:`fs_idx` /
-:attr:`js_idx`) because their inner loops skip structural zeros.
+Both the fused-numpy kernel and the scalar C kernel consume the same
+instance; the C kernel additionally uses the sparse index/coefficient
+form of the scatters (:attr:`fs_idx` / :attr:`js_idx`) because its
+inner loops skip structural zeros.
 
 The maps reproduce the reference pipeline's *algebra*, not its exact
 operation order — offsets extracted through these kernels are bitwise
-identical to the ``numpy`` backend (pinned by tests and the benchmark),
-while raw trajectories agree to a few ulp.
+identical to the ``NumpyStepKernel`` oracle (pinned by tests and the
+benchmark), while raw trajectories agree to a few ulp.
 """
 
 from __future__ import annotations

@@ -1,53 +1,73 @@
-"""The ``numpy`` backend — the PR-3 reduced path behind the interface.
+"""The reference step kernel: one backward-Euler step in plain numpy.
 
-This backend exists to *be* the reference: its step kernel is a thin
-adapter around the exact objects the transient engine used before the
-backend seam existed (``_ReducedStepper`` + ``newton_solve``), so every
-result it produces is bit-for-bit the pre-backend code path.  The
-``compiled`` backend (and any future one) is validated against it.
+:class:`NumpyStepKernel` assembles every Newton iteration through
+:meth:`repro.spice.mna.MnaSystem.reduced_residual_jacobian` plus the
+capacitive terms and hands it to :func:`repro.spice.solver.
+newton_solve`.  It is the oracle the fused kernels of
+:mod:`repro.spice.backends.compiled` are tested against, and it runs
+the configurations they do not cover (device-less systems, unmasked
+Newton).
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..solver import NewtonOptions, newton_solve
-from .base import SolverBackend, StepKernel
-
-#: Semantics version of the reference kernel; matches the PR-3 reduced
-#: hot loop.  Part of the cache token.
-KERNEL_VERSION = "reduced-1"
+from .base import StepKernel
 
 
 class NumpyStepKernel(StepKernel):
-    """``_ReducedStepper`` + ``newton_solve``, verbatim."""
+    """Backward-Euler step on the unknown-node block via ``newton_solve``.
+
+    The kernel is its own Newton callback: one instance serves every
+    step of a run (``begin_step`` updates ``t_new``/``v_prev``), and its
+    buffers serve every Newton iteration.  The capacitive terms are a
+    full-width ``dv @ c_over_dt.T`` matmul gathered to the unknown
+    block plus the precompiled ``c_over_dt_uu`` block added to the
+    reduced Jacobian.
+    """
+
+    supports_active = True
+    reduced = True
 
     def __init__(self, system, c_over_dt: np.ndarray, batch: int,
                  options: NewtonOptions) -> None:
-        # Imported here: the transient module imports the backend
-        # registry at module level, so the stepper import must wait
-        # until the package is fully initialised.
-        from ..transient import _ReducedStepper
-        self._stepper = _ReducedStepper(system, c_over_dt, batch)
-        self._unknown = system.unknown_idx
+        self.system = system
         self._options = options
+        self._c_over_dt_T = c_over_dt.T
+        u = system.unknown_idx
+        self._u = u
+        self.c_over_dt_uu = c_over_dt[np.ix_(u, u)].copy()
+        n = system.n_nodes
+        self._vp_rows = np.empty((batch, n))
+        self._dv = np.empty((batch, n))
+        self._cap = np.empty((batch, n))
+        self._cap_u = np.empty((batch, u.size))
+        self.t_new = 0.0
+        self.v_prev: Optional[np.ndarray] = None
 
     def begin_step(self, t_new: float, v_prev: np.ndarray) -> None:
-        self._stepper.t_new = t_new
-        self._stepper.v_prev = v_prev
+        self.t_new = t_new
+        self.v_prev = v_prev
 
     def solve(self, v_new: np.ndarray, active_idx: np.ndarray) -> int:
-        _, iterations = newton_solve(self._stepper, v_new, self._unknown,
-                                     self._options, active=active_idx)
+        _, iterations = newton_solve(self, v_new, self._u, self._options,
+                                     active=active_idx)
         return iterations
 
-
-class NumpyBackend(SolverBackend):
-    """Reference backend: the unmodified numpy reduced hot loop."""
-
-    name = "numpy"
-    kernel_version = KERNEL_VERSION
-
-    def step_kernel(self, system, c_over_dt: np.ndarray, dt: float,
-                    batch: int, options: NewtonOptions) -> NumpyStepKernel:
-        return NumpyStepKernel(system, c_over_dt, batch, options)
+    def __call__(self, v, rows):
+        b = v.shape[0]
+        f_u, jac_uu = self.system.reduced_residual_jacobian(
+            v, self.t_new, active=rows)
+        if b == self.v_prev.shape[0]:
+            vp = self.v_prev  # rows is sorted+unique: full size == all
+        else:
+            vp = self.v_prev.take(rows, axis=0, out=self._vp_rows[:b])
+        dv = np.subtract(v, vp, out=self._dv[:b])
+        cap = np.matmul(dv, self._c_over_dt_T, out=self._cap[:b])
+        f_u += cap.take(self._u, axis=1, out=self._cap_u[:b])
+        jac_uu += self.c_over_dt_uu
+        return f_u, jac_uu

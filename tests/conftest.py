@@ -64,3 +64,18 @@ def _reset_shared_benches(request):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def use_numpy_flavor(monkeypatch):
+    """A switch to the fused-numpy kernel flavor for the rest of a test.
+
+    Calling the returned function sets the process flavor state (the
+    state ``compiled._reset_flavor_cache`` clears) to the fused-numpy
+    kernel; it is restored when the test ends.
+    """
+    from repro.spice.backends import compiled
+
+    def switch() -> None:
+        monkeypatch.setattr(compiled, "_FLAVOR", ("numpy", None))
+    return switch

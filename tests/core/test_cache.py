@@ -15,9 +15,13 @@ from repro.core.calibration import (default_aging_model,
 from repro.core.experiment import (ExperimentCell, build_design, run_cell)
 from repro.core.parallel import run_cells
 from repro.models import Environment
+from repro.spice.backends import _cc
 from repro.workloads import paper_workload
 
 TIMING = ReadTiming(dt=1e-12)
+
+needs_cc = pytest.mark.skipif(not _cc.compiler_available(),
+                              reason="no C compiler on PATH")
 
 
 def settings(size=8):
@@ -183,57 +187,38 @@ class TestKeyForCell:
 
 
 class TestBackendKeys:
-    """The solver backend's cache token salts the key (never mix)."""
+    """The kernel flavor's cache token salts the key (never mix)."""
 
-    def test_backends_get_distinct_keys(self, tmp_path):
+    @needs_cc
+    def test_backends_get_distinct_keys(self, tmp_path, use_numpy_flavor):
         cache = ResultCache(tmp_path)
         cell = fresh_cell()
-        keys = {cache.key_for_cell(cell, settings=settings(),
-                                   timing=TIMING, backend=name)
-                for name in ("numpy", "compiled")}
-        assert len(keys) == 2
+        kwargs = dict(settings=settings(), timing=TIMING)
+        production = cache.key_for_cell(cell, **kwargs)
+        use_numpy_flavor()
+        assert cache.key_for_cell(cell, **kwargs) != production
 
-    def test_name_and_instance_agree(self, tmp_path):
-        from repro.spice.backends import get_backend
-        cache = ResultCache(tmp_path)
-        cell = fresh_cell()
-        assert cache.key_for_cell(cell, backend="compiled") == \
-            cache.key_for_cell(cell, backend=get_backend("compiled"))
-
-    def test_default_resolution_matches_environment(self, tmp_path,
-                                                    monkeypatch):
-        """``backend=None`` must resolve exactly like ``run_cell`` does,
-        so the job service's dedup key stays aligned."""
-        cache = ResultCache(tmp_path)
-        cell = fresh_cell()
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_NO_COMPILED", raising=False)
-        assert cache.key_for_cell(cell) == \
-            cache.key_for_cell(cell, backend="compiled")
-        monkeypatch.setenv("REPRO_NO_COMPILED", "1")
-        assert cache.key_for_cell(cell) == \
-            cache.key_for_cell(cell, backend="numpy")
-
-    def test_entries_distinct_payloads_identical(self, tmp_path):
-        """Both backends store their own entry; the offset payloads are
+    @needs_cc
+    def test_entries_distinct_payloads_identical(self, tmp_path,
+                                                 use_numpy_flavor):
+        """Each flavor stores its own entry; the offset payloads are
         bit-identical (the parity contract), only the keys differ."""
         cache = ResultCache(tmp_path)
         cell = aged_cells()[0]
+        kwargs = dict(settings=settings(), timing=TIMING,
+                      offset_iterations=5, measure_delay=False)
         results, keys = {}, {}
-        for name in ("numpy", "compiled"):
-            keys[name] = cache.key_for_cell(
-                cell, settings=settings(), timing=TIMING,
-                offset_iterations=5, measure_delay=False, backend=name)
-            results[name] = run_cell(
-                cell, settings=settings(), timing=TIMING,
-                offset_iterations=5, measure_delay=False, cache=cache,
-                backend=name)
-        assert keys["numpy"] != keys["compiled"]
+        for flavor in ("cc", "numpy"):
+            if flavor == "numpy":
+                use_numpy_flavor()
+            keys[flavor] = cache.key_for_cell(cell, **kwargs)
+            results[flavor] = run_cell(cell, cache=cache, **kwargs)
+        assert keys["cc"] != keys["numpy"]
         assert cache.stats()["entries"] == 2
-        loaded = {name: cache.load(keys[name], cell, failure_rate=1e-9)
-                  for name in keys}
+        loaded = {flavor: cache.load(keys[flavor], cell, failure_rate=1e-9)
+                  for flavor in keys}
         np.testing.assert_array_equal(loaded["numpy"].offset.offsets,
-                                      loaded["compiled"].offset.offsets)
+                                      loaded["cc"].offset.offsets)
         np.testing.assert_array_equal(loaded["numpy"].offset.offsets,
                                       results["numpy"].offset.offsets)
 

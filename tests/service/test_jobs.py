@@ -61,17 +61,6 @@ class TestJobRequest:
         assert request(mc=8).signature() != request(mc=16).signature()
         assert request().signature() \
             != request(timeout_s=10.0).signature()
-        assert request(backend="numpy").signature() \
-            != request().signature()
-
-    def test_backend_round_trips_and_reaches_run_kwargs(self):
-        req = request(backend="numpy")
-        assert JobRequest.from_dict(req.to_dict()) == req
-        assert req.run_kwargs()["backend"] == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            request(backend="fortran").to_cell()
 
     def test_cache_key_matches_direct_key_derivation(self, tmp_path):
         """The job identity is exactly the run_cell cache key."""

@@ -26,6 +26,36 @@ class TestRoundTrip:
         assert set(jobs) == {"a", "b"}
         assert next_seq == 2
 
+    def test_journal_with_backend_field_recovers(self, tmp_path):
+        """Journals written while requests named a solver backend carry
+        ``"backend": null``; they replay onto the one solver path."""
+        request = ('{"scheme":"issa","workload":"80r0",'
+                   '"time_s":100000000.0,"temp_c":25.0,"vdd":1.0,"mc":8,'
+                   '"seed":2017,"dt":1e-12,"offset_iterations":14,'
+                   '"measure_offset":true,"measure_delay":true,'
+                   '"chunk_size":null,"timeout_s":null,"backend":null}')
+        lines = [
+            '{"id":"k1","request":%s,"seq":0,"priority":0,'
+            '"state":"pending","rev":0,"attempts":0,"max_attempts":3,'
+            '"submitted_at":0.0,"started_at":null,"finished_at":null,'
+            '"not_before":0.0,"batchable":true,"from_cache":false,'
+            '"error":null,"result_row":null,"worker":null,'
+            '"lease_expires_at":null}' % request,
+            '{"id":"k1","request":%s,"seq":0,"priority":0,'
+            '"state":"done","rev":1,"attempts":0,"max_attempts":3,'
+            '"submitted_at":0.0,"started_at":null,"finished_at":null,'
+            '"not_before":0.0,"batchable":true,"from_cache":false,'
+            '"error":null,"result_row":{"scheme":"ISSA"},"worker":null,'
+            '"lease_expires_at":null}' % request,
+        ]
+        (tmp_path / "journal.jsonl").write_text("\n".join(lines) + "\n")
+        jobs, next_seq = JobStore(tmp_path).recover()
+        assert set(jobs) == {"k1"} and next_seq == 1
+        job = jobs["k1"]
+        assert job.state == DONE and job.result_row == {"scheme": "ISSA"}
+        assert job.request == JobRequest(scheme="issa", workload="80r0",
+                                         time_s=1e8, mc=8)
+
     def test_later_record_wins(self, tmp_path):
         store = JobStore(tmp_path)
         store.recover()

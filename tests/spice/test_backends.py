@@ -1,13 +1,17 @@
-"""Tests for the pluggable solver backends of the reduced hot loop.
+"""Tests for the transient step kernels.
 
-Covers the registry and resolution rules (explicit argument, the
-``REPRO_BACKEND`` environment variable, the ``REPRO_NO_COMPILED`` kill
-switch), the compiled backend's jit ladder and first-use self-check,
-step-kernel parity against the reference ``_ReducedStepper`` path on
-the sense amplifiers and on randomised topologies, and the
-characterisation-level contract: offsets through the compiled backend
-are **bit-identical** to the numpy backend.
+Covers the kernel-flavor choice (the C kernel where a compiler builds
+it, else fused numpy) and its first-use self-check, the per-system
+kernel cache and fallback guards, step-kernel parity against the
+:class:`NumpyStepKernel` oracle on the sense amplifiers and on
+randomised topologies, and the characterisation-level contract:
+offsets through the production kernels are **bit-identical** to the
+oracle's.
 """
+
+import os
+import subprocess
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,14 +20,11 @@ from repro.circuits.sense_amp import ReadTiming, build_issa, build_nssa
 from repro.core.calibration import default_mc_settings
 from repro.core.experiment import ExperimentCell, run_cell
 from repro.models import Environment
-from repro.spice.backends import (BACKEND_ENV, NO_COMPILED_ENV,
-                                  available_backends, backend_host_info,
-                                  get_backend, resolve_backend)
-from repro.spice.backends import _cc, _kernel_py
+from repro.spice import transient
+from repro.spice.backends import backend_host_info, cache_token, step_kernel
+from repro.spice.backends import _cc
 from repro.spice.backends import compiled as compiled_mod
-from repro.spice.backends.base import SolverBackend
-from repro.spice.backends.compiled import (JIT_ENV, CompiledBackend,
-                                           FusedNumpyKernel,
+from repro.spice.backends.compiled import (FusedNumpyKernel,
                                            ScalarStepKernel,
                                            _reset_flavor_cache)
 from repro.spice.backends.maps import ReducedKernelMaps
@@ -36,14 +37,12 @@ from repro.workloads import paper_workload
 from tests.spice.test_reduced import random_circuit
 
 #: Step-solution agreement between kernel implementations [V].  The
-#: backends share bit-identical *offsets* (sign decisions), not raw
+#: kernels share bit-identical *offsets* (sign decisions), not raw
 #: trajectories, which agree to well below Newton tolerance.
 STEP_ATOL = 1e-9
 
 needs_cc = pytest.mark.skipif(not _cc.compiler_available(),
                               reason="no C compiler on PATH")
-needs_numba = pytest.mark.skipif(compiled_mod.NUMBA_VERSION is None,
-                                 reason="numba not installed")
 
 
 @pytest.fixture()
@@ -52,6 +51,17 @@ def clean_flavor():
     _reset_flavor_cache()
     yield
     _reset_flavor_cache()
+
+
+@pytest.fixture()
+def use_oracle(monkeypatch):
+    """A switch routing every transient through the oracle kernel."""
+    def oracle(system, c_over_dt, dt, batch, options):
+        return NumpyStepKernel(system, c_over_dt, batch, options)
+
+    def switch() -> None:
+        monkeypatch.setattr(transient, "step_kernel", oracle)
+    return switch
 
 
 def aged_cell(kind="nssa"):
@@ -84,140 +94,118 @@ def step_state(system, rng, batch):
     return v_prev
 
 
+def fused_kernels(system, c_over_dt, batch, options):
+    """Every fused kernel this host can build, by flavor."""
+    maps = ReducedKernelMaps(system, c_over_dt, options)
+    kernels = {"fused-numpy": FusedNumpyKernel(maps, system, batch,
+                                               options)}
+    fn, _, _, _ = _cc.load_kernel()
+    if fn is not None:
+        kernels["cc"] = ScalarStepKernel(maps, system, batch, options, fn)
+    return kernels
+
+
 class TestRegistry:
-    def test_available_backends(self):
-        assert available_backends() == ["compiled", "numpy"]
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            get_backend("fortran")
-
-    def test_instances_are_shared(self):
-        assert get_backend("numpy") is get_backend("numpy")
-        assert get_backend("compiled") is get_backend("compiled")
-
-    def test_cache_tokens_are_distinct(self):
-        tokens = [get_backend(name).cache_token()
-                  for name in available_backends()]
-        assert len({tuple(sorted(t.items())) for t in tokens}) == \
-            len(tokens)
-        for token in tokens:
-            assert set(token) == {"name", "kernel"}
+    def test_cache_tokens_are_distinct(self, clean_flavor,
+                                       use_numpy_flavor):
+        production = cache_token()
+        use_numpy_flavor()
+        fallback = cache_token()
+        assert fallback == {"kernel": compiled_mod.KERNEL_VERSION,
+                            "flavor": "numpy"}
+        if production["flavor"] == "cc":
+            assert production["so"] == _cc.kernel_tag(
+                backend_host_info()["cc"]["flags"])
+            assert production != fallback
 
     def test_host_info_names_the_backend(self):
-        info = backend_host_info("compiled")
-        assert info["backend"] == "compiled"
+        info = backend_host_info()
         assert info["kernel_version"] == compiled_mod.KERNEL_VERSION
-        assert "flavor" in info and "numba" in info and "cc" in info
-
-
-class TestResolution:
-    def test_default_is_compiled(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.delenv(NO_COMPILED_ENV, raising=False)
-        assert resolve_backend(None).name == "compiled"
-
-    def test_environment_selects(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert resolve_backend(None).name == "numpy"
-
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert resolve_backend("compiled").name == "compiled"
-
-    def test_unknown_environment_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "fortran")
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            resolve_backend(None)
-
-    def test_instance_passes_through(self):
-        backend = get_backend("compiled")
-        assert resolve_backend(backend) is backend
-
-    def test_kill_switch_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv(NO_COMPILED_ENV, "1")
-        assert resolve_backend(None).name == "numpy"
-        assert resolve_backend("compiled").name == "numpy"
-        monkeypatch.setenv(BACKEND_ENV, "compiled")
-        assert resolve_backend(None).name == "numpy"
-
-    def test_kill_switch_spares_numpy_and_instances(self, monkeypatch):
-        monkeypatch.setenv(NO_COMPILED_ENV, "1")
-        assert resolve_backend("numpy").name == "numpy"
-        # A backend *object* is the parity-test escape hatch.
-        assert resolve_backend(get_backend("compiled")).name == "compiled"
+        assert info["flavor"] in ("cc", "numpy")
+        assert "cc" in info
 
 
 class TestFlavorLadder:
-    def test_numpy_flavor_forced(self, monkeypatch, clean_flavor):
-        monkeypatch.setenv(JIT_ENV, "numpy")
-        backend = CompiledBackend()
-        assert backend.describe()["flavor"] == "numpy"
+    def test_numpy_flavor_forced(self, use_numpy_flavor):
+        use_numpy_flavor()
+        assert backend_host_info()["flavor"] == "numpy"
         system, _ = sense_amp_system(batch=3)
-        kernel = backend.step_kernel(system, system.c_matrix / 1e-12,
-                                     1e-12, 3, NewtonOptions())
+        kernel = step_kernel(system, system.c_matrix / 1e-12, 1e-12, 3,
+                             NewtonOptions())
         assert isinstance(kernel, FusedNumpyKernel)
 
-    def test_bogus_flavor_rejected(self, monkeypatch, clean_flavor):
-        monkeypatch.setenv(JIT_ENV, "fortran")
-        with pytest.raises(ValueError, match=JIT_ENV):
-            CompiledBackend().describe()
-
     @needs_cc
-    def test_cc_flavor(self, monkeypatch, clean_flavor):
-        monkeypatch.setenv(JIT_ENV, "cc")
-        info = CompiledBackend().describe()
+    def test_cc_flavor(self, clean_flavor):
+        info = backend_host_info()
         assert info["flavor"] == "cc"
         assert info["cc"]["available"]
 
-    @needs_numba
-    def test_numba_flavor(self, monkeypatch, clean_flavor):
-        monkeypatch.setenv(JIT_ENV, "numba")
-        info = CompiledBackend().describe()
-        assert info["flavor"] == "numba"
-        assert info["numba"]["version"] == compiled_mod.NUMBA_VERSION
+    def test_auto_never_fails(self, clean_flavor):
+        assert backend_host_info()["flavor"] in ("cc", "numpy")
 
-    def test_auto_never_fails(self, monkeypatch, clean_flavor):
-        monkeypatch.delenv(JIT_ENV, raising=False)
-        assert CompiledBackend().describe()["flavor"] in \
-            ("numba", "cc", "numpy")
+
+class TestColdCompile:
+    @needs_cc
+    def test_concurrent_cold_loads_agree(self, tmp_path, monkeypatch):
+        """Loaders compiling into one empty kernel directory at once all
+        get the kernel, with the same flag set, and leave only the
+        published ``.so`` behind."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            loads = list(pool.map(lambda _: _cc.load_kernel(), range(4)))
+        assert all(fn is not None for fn, _, _, _ in loads)
+        assert len({(flags, tag) for _, _, flags, tag in loads}) == 1
+        tag = loads[0][3]
+        assert os.listdir(tmp_path / "cc-kernels") == \
+            [f"newton_step_{tag}.so"]
+
+    @needs_cc
+    def test_cached_object_without_symbol_is_rebuilt(self, tmp_path,
+                                                     monkeypatch):
+        """A cached ``.so`` lacking ``newton_step`` (e.g. built from a
+        truncated source) is replaced, not raised on."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        directory = tmp_path / "cc-kernels"
+        directory.mkdir()
+        source = directory / "empty.c"
+        source.write_text("int unrelated;\n")
+        for flags in _cc.CC_FLAG_SETS:
+            target = directory / f"newton_step_{_cc.kernel_tag(flags)}.so"
+            subprocess.run(["cc", "-shared", "-fPIC", str(source), "-o",
+                            str(target)], check=True)
+        source.unlink()
+        fn, compile_ms, _, _ = _cc.load_kernel()
+        assert fn is not None and compile_ms > 0.0
 
 
 class TestKernelCache:
     def test_kernel_reused_per_system(self, clean_flavor):
-        backend = CompiledBackend()
         system, _ = sense_amp_system(batch=4)
         args = (system, system.c_matrix / 1e-12, 1e-12, 4, NewtonOptions())
-        first = backend.step_kernel(*args)
-        assert backend.step_kernel(*args) is first
+        first = step_kernel(*args)
+        assert step_kernel(*args) is first
 
     def test_dt_and_options_split_the_cache(self, clean_flavor):
-        backend = CompiledBackend()
         system, _ = sense_amp_system(batch=4)
-        base = backend.step_kernel(system, system.c_matrix / 1e-12,
-                                   1e-12, 4, NewtonOptions())
-        other_dt = backend.step_kernel(system, system.c_matrix / 2e-12,
-                                       2e-12, 4, NewtonOptions())
-        other_opts = backend.step_kernel(
-            system, system.c_matrix / 1e-12, 1e-12, 4,
-            NewtonOptions(vtol=1e-8))
+        base = step_kernel(system, system.c_matrix / 1e-12, 1e-12, 4,
+                           NewtonOptions())
+        other_dt = step_kernel(system, system.c_matrix / 2e-12, 2e-12, 4,
+                               NewtonOptions())
+        other_opts = step_kernel(system, system.c_matrix / 1e-12, 1e-12,
+                                 4, NewtonOptions(vtol=1e-8))
         assert base is not other_dt and base is not other_opts
 
 
 class TestFallbackGuards:
-    """Out-of-contract configurations use the exact reference kernel."""
+    """Out-of-contract configurations use the exact oracle kernel."""
 
     def _kernel(self, **newton_kwargs):
-        backend = CompiledBackend()
         system, _ = sense_amp_system(batch=3)
-        return backend.step_kernel(system, system.c_matrix / 1e-12,
-                                   1e-12, 3, NewtonOptions(**newton_kwargs))
+        return step_kernel(system, system.c_matrix / 1e-12, 1e-12, 3,
+                           NewtonOptions(**newton_kwargs))
 
     def test_unmasked_falls_back(self):
         assert isinstance(self._kernel(masked=False), NumpyStepKernel)
-
-    def test_quasi_falls_back(self):
-        assert isinstance(self._kernel(quasi=True), NumpyStepKernel)
 
     def test_deviceless_falls_back(self):
         from repro.spice.netlist import Circuit
@@ -227,32 +215,25 @@ class TestFallbackGuards:
         circuit.add_resistor("r", "a", "b", 1e3)
         circuit.add_capacitor("c", "b", "0", 1e-15)
         system = MnaSystem(circuit, 300.0, batch_size=2)
-        kernel = CompiledBackend().step_kernel(
-            system, system.c_matrix / 1e-12, 1e-12, 2, NewtonOptions())
+        kernel = step_kernel(system, system.c_matrix / 1e-12, 1e-12, 2,
+                             NewtonOptions())
         assert isinstance(kernel, NumpyStepKernel)
 
     def test_oversized_system_uses_numpy_flavor(self, monkeypatch,
                                                 clean_flavor):
         monkeypatch.setattr(_cc, "MAX_NU", 1)
-        backend = CompiledBackend()
-        system, _ = sense_amp_system(batch=3)
-        kernel = backend.step_kernel(system, system.c_matrix / 1e-12,
-                                     1e-12, 3, NewtonOptions())
-        assert isinstance(kernel, FusedNumpyKernel)
+        assert isinstance(self._kernel(), FusedNumpyKernel)
 
     def test_selfcheck_failure_demotes_process(self, monkeypatch,
                                                clean_flavor):
         monkeypatch.setattr(compiled_mod, "_SELFCHECK", "failed")
-        backend = CompiledBackend()
-        assert backend.describe()["flavor"] == "numpy"
-        system, _ = sense_amp_system(batch=3)
-        kernel = backend.step_kernel(system, system.c_matrix / 1e-12,
-                                     1e-12, 3, NewtonOptions())
-        assert isinstance(kernel, FusedNumpyKernel)
+        assert backend_host_info()["flavor"] == "numpy"
+        assert cache_token()["flavor"] == "numpy"
+        assert isinstance(self._kernel(), FusedNumpyKernel)
 
 
 class TestStepKernelParity:
-    """Backend kernels agree with the reference stepper per step."""
+    """Fused kernels agree with the oracle kernel per step."""
 
     def _compare(self, system, rng, batch):
         dt = 1e-12
@@ -262,26 +243,14 @@ class TestStepKernelParity:
         t_new = 1e-11
 
         reference = NumpyStepKernel(system, c_over_dt, batch, options)
-        v_ref, it_ref = solve_one_step(reference, system, v_prev, t_new,
-                                       batch)
-
-        maps = ReducedKernelMaps(system, c_over_dt, options)
-        kernels = {"fused-numpy":
-                   FusedNumpyKernel(maps, system, batch, options),
-                   "python-reference":
-                   ScalarStepKernel(maps, system, batch, options,
-                                    "pyref", _kernel_py.newton_step)}
-        if _cc.compiler_available():
-            fn, _, _ = _cc.load_kernel()
-            if fn is not None:
-                kernels["cc"] = ScalarStepKernel(maps, system, batch,
-                                                 options, "cc", fn)
-        for label, kernel in kernels.items():
+        v_ref, _ = solve_one_step(reference, system, v_prev, t_new, batch)
+        for label, kernel in fused_kernels(system, c_over_dt, batch,
+                                           options).items():
             v_got, _ = solve_one_step(kernel, system, v_prev, t_new,
                                       batch)
             np.testing.assert_allclose(
                 v_got, v_ref, rtol=0.0, atol=STEP_ATOL,
-                err_msg=f"{label} kernel diverged from the stepper")
+                err_msg=f"{label} kernel diverged from the oracle")
 
     @pytest.mark.parametrize("build", [build_nssa, build_issa])
     def test_sense_amps(self, build):
@@ -298,8 +267,6 @@ class TestStepKernelParity:
                   for name in system.vth_shifts()}
         if shifts:
             system.set_vth_shifts(shifts)
-        if not system.reduced or system.unknown_idx.size == 0:
-            pytest.skip("topology not on the reduced path")
         self._compare(system, rng, batch)
 
     def test_partial_active_rows(self):
@@ -309,14 +276,13 @@ class TestStepKernelParity:
         dt = 1e-12
         options = NewtonOptions()
         c_over_dt = system.c_matrix / dt
-        maps = ReducedKernelMaps(system, c_over_dt, options)
         v_prev = step_state(system, rng, batch)
         active = np.array([0, 2, 5])
         frozen = np.array([1, 3, 4])
-        for kernel in (NumpyStepKernel(system, c_over_dt, batch, options),
-                       FusedNumpyKernel(maps, system, batch, options),
-                       ScalarStepKernel(maps, system, batch, options,
-                                        "pyref", _kernel_py.newton_step)):
+        kernels = [NumpyStepKernel(system, c_over_dt, batch, options),
+                   *fused_kernels(system, c_over_dt, batch,
+                                  options).values()]
+        for kernel in kernels:
             v_new = v_prev.copy()
             system.apply_known(v_new, 1e-11)
             snapshot = v_new[frozen].copy()
@@ -327,21 +293,22 @@ class TestStepKernelParity:
 
 class TestTransientParity:
     @pytest.mark.parametrize("build", [build_nssa, build_issa])
-    def test_probes_agree(self, build):
+    def test_probes_agree(self, build, use_oracle):
         design = build()
         batch = 5
         rng = np.random.default_rng(9)
         names = MnaSystem(design.circuit, 298.15).vth_shifts()
         shifts = {name: rng.normal(0.0, 0.02, batch) for name in names}
-        results = {}
-        for backend in ("numpy", "compiled"):
+
+        def simulate():
             system = MnaSystem(design.circuit, 298.15, batch_size=batch)
             system.set_vth_shifts(shifts)
-            results[backend] = run_transient(
-                system, t_stop=6e-11, dt=1e-12,
-                probes=list(design.output_nodes), extrapolate=True,
-                backend=get_backend(backend))
-        a, b = results["numpy"], results["compiled"]
+            return run_transient(system, t_stop=6e-11, dt=1e-12,
+                                 probes=list(design.output_nodes),
+                                 extrapolate=True)
+        b = simulate()
+        use_oracle()
+        a = simulate()
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_allclose(b.final, a.final, rtol=0.0,
                                    atol=STEP_ATOL)
@@ -352,44 +319,37 @@ class TestTransientParity:
 
 
 class TestOffsetsBitwise:
-    """The characterisation contract: offsets are backend-independent."""
+    """The characterisation contract: offsets are kernel-independent."""
+
+    @staticmethod
+    def characterise(kind="nssa", size=6, iterations=5):
+        return run_cell(aged_cell(kind),
+                        settings=default_mc_settings(size=size, seed=2017),
+                        timing=ReadTiming(dt=1e-12),
+                        offset_iterations=iterations, measure_delay=False)
 
     @pytest.mark.parametrize("kind", ["nssa", "issa"])
-    def test_run_cell_offsets_bit_identical(self, kind):
-        results = {}
-        for backend in ("numpy", "compiled"):
-            results[backend] = run_cell(
-                aged_cell(kind),
-                settings=default_mc_settings(size=6, seed=2017),
-                timing=ReadTiming(dt=1e-12), offset_iterations=5,
-                measure_delay=False,
-                # Backend objects bypass REPRO_NO_COMPILED, so this
-                # parity holds even in an opted-out environment.
-                backend=get_backend(backend))
-        np.testing.assert_array_equal(
-            results["compiled"].offset.offsets,
-            results["numpy"].offset.offsets)
-        assert results["compiled"].offset.spec == \
-            results["numpy"].offset.spec
+    def test_run_cell_offsets_bit_identical(self, kind, use_oracle):
+        production = self.characterise(kind)
+        use_oracle()
+        oracle = self.characterise(kind)
+        np.testing.assert_array_equal(production.offset.offsets,
+                                      oracle.offset.offsets)
+        assert production.offset.spec == oracle.offset.spec
 
     def test_compiled_counters_flow(self):
         from repro.analysis.perf import PERF
         PERF.reset()
-        run_cell(aged_cell(), settings=default_mc_settings(size=4,
-                                                           seed=2017),
-                 timing=ReadTiming(dt=1e-12), offset_iterations=4,
-                 measure_delay=False, backend=get_backend("compiled"))
+        self.characterise(size=4, iterations=4)
         counters = PERF.snapshot()["counters"]
         assert counters.get("spice.backend.fused_steps", 0) > 0
         assert counters.get("spice.backend.fused_iterations", 0) > 0
         assert counters.get("newton.solves", 0) > 0
 
-    def test_numpy_backend_leaves_no_fused_counters(self):
+    def test_numpy_backend_leaves_no_fused_counters(self, use_oracle):
         from repro.analysis.perf import PERF
+        use_oracle()
         PERF.reset()
-        run_cell(aged_cell(), settings=default_mc_settings(size=4,
-                                                           seed=2017),
-                 timing=ReadTiming(dt=1e-12), offset_iterations=4,
-                 measure_delay=False, backend="numpy")
+        self.characterise(size=4, iterations=4)
         counters = PERF.snapshot()["counters"]
         assert "spice.backend.fused_steps" not in counters

@@ -14,11 +14,12 @@ from repro.core.calibration import default_aging_model
 from repro.core.montecarlo import McSettings, sample_total_shifts
 from repro.core.testbench import SenseAmpTestbench
 from repro.models import Environment, MismatchModel, NMOS_45HP, PMOS_45HP
+from repro.models.mosmodel import mos_current
 from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit
 from repro.spice.solver import (ConvergenceError, NewtonOptions,
                                 _solve_batched, newton_solve)
-from repro.spice.transient import DecisionSpec, run_transient
+from repro.spice.transient import DecisionSpec
 from repro.spice.waveforms import Dc
 from repro.workloads import paper_workload
 
@@ -36,44 +37,58 @@ def inverter_pair(batch: int = 5) -> MnaSystem:
     return c
 
 
-class TestStackedEvaluation:
-    """The one-shot device table must match the per-device loop."""
+def per_device_assembly(system: MnaSystem, v: np.ndarray):
+    """Residual and Jacobian stamped device by device from ``mos_current``.
 
-    def _systems(self, batch=5):
-        circuit = inverter_pair()
-        stacked = MnaSystem(circuit, 300.0, batch_size=batch, stacked=True)
-        legacy = MnaSystem(circuit, 300.0, batch_size=batch, stacked=False)
+    The scalar model the stacked table must reproduce: drain current
+    into the residual (drain +, source -) and the six gm/gd/gs stamps.
+    """
+    batch, n = v.shape
+    f = v @ system.g_static.T
+    jac = np.broadcast_to(system.g_static, (batch, n, n)).copy()
+    for slot in system._mosfets:
+        d, g, s = slot.drain, slot.gate, slot.source
+        i_d, gm, gd, gs = mos_current(
+            v[:, g], v[:, d], v[:, s], v[:, slot.bulk], slot.vth_shift,
+            slot.element.params, slot.element.w_over_l,
+            system.temperature_k)
+        f[:, d] += i_d
+        f[:, s] -= i_d
+        for row, sign in ((d, 1.0), (s, -1.0)):
+            jac[:, row, g] += sign * gm
+            jac[:, row, d] += sign * gd
+            jac[:, row, s] += sign * gs
+    return f, jac
+
+
+class TestStackedEvaluation:
+    """The one-shot device table must match the per-device model."""
+
+    def _system(self, batch=5):
+        system = MnaSystem(inverter_pair(), 300.0, batch_size=batch)
         rng = np.random.default_rng(3)
-        shifts = {"mn1": rng.normal(0.0, 0.02, batch),
-                  "mp2": rng.normal(0.0, 0.02, batch)}
-        stacked.set_vth_shifts(shifts)
-        legacy.set_vth_shifts(shifts)
-        v = np.clip(rng.normal(0.5, 0.3, (batch, stacked.n_nodes)),
+        system.set_vth_shifts({"mn1": rng.normal(0.0, 0.02, batch),
+                               "mp2": rng.normal(0.0, 0.02, batch)})
+        v = np.clip(rng.normal(0.5, 0.3, (batch, system.n_nodes)),
                     -0.2, 1.2)
-        stacked.apply_known(v, 0.0)
-        return stacked, legacy, v
+        system.apply_known(v, 0.0)
+        return system, v
 
     def test_residual_jacobian_match(self):
-        stacked, legacy, v = self._systems()
-        f_s, jac_s = stacked.static_residual_jacobian(v, 0.0)
-        f_l, jac_l = legacy.static_residual_jacobian(v, 0.0)
+        system, v = self._system()
+        f_s, jac_s = system.static_residual_jacobian(v, 0.0)
+        f_l, jac_l = per_device_assembly(system, v)
         np.testing.assert_allclose(f_s, f_l, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(jac_s, jac_l, rtol=0.0, atol=1e-15)
 
     def test_active_slice_matches_full(self):
-        stacked, _, v = self._systems()
+        system, v = self._system()
         active = np.array([0, 2, 4])
-        f_full, jac_full = stacked.static_residual_jacobian(v, 0.0)
-        f_act, jac_act = stacked.static_residual_jacobian(v[active], 0.0,
-                                                          active=active)
+        f_full, jac_full = system.static_residual_jacobian(v, 0.0)
+        f_act, jac_act = system.static_residual_jacobian(v[active], 0.0,
+                                                         active=active)
         np.testing.assert_array_equal(f_act, f_full[active])
         np.testing.assert_array_equal(jac_act, jac_full[active])
-
-    def test_residual_only_matches(self):
-        stacked, _, v = self._systems()
-        f_full, _ = stacked.static_residual_jacobian(v, 0.0)
-        np.testing.assert_array_equal(stacked.static_residual(v, 0.0),
-                                      f_full)
 
 
 class TestMaskedNewton:
@@ -231,18 +246,3 @@ class TestEarlyDecision:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             DecisionSpec("s", "sbar", threshold=0.0)
-
-
-class TestTrapezoidalHistoryRefresh:
-    """The trap branch refreshes f_prev without a Jacobian evaluation."""
-
-    def test_trap_still_integrates(self):
-        c = Circuit("rc")
-        c.add_vsource("vin", "in", Dc(0.0))
-        c.add_resistor("r", "in", "out", 1e3)
-        c.add_capacitor("c", "out", "0", 1e-12)
-        system = MnaSystem(c, 300.0)
-        result = run_transient(system, 3e-9, 50e-12, probes=["out"],
-                               initial={"out": 1.0}, method="trap")
-        expected = np.exp(-result.times / 1e-9)
-        assert np.max(np.abs(result.probe("out")[:, 0] - expected)) < 5e-3

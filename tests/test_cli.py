@@ -213,5 +213,7 @@ class TestBenchCommand:
 
     def test_real_suites_discovered(self, capsys):
         assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "reduced_speedup" in out
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["array_speedup", "fleet_speedup",
+                       "rare_event_speedup", "service_speedup",
+                       "warmstart_cache_speedup"]
